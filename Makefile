@@ -1,6 +1,6 @@
 # Convenience targets for the SDRaD reproduction.
 
-.PHONY: install test bench bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables examples lint lint-domains lint-fixtures all
+.PHONY: install test bench perfbench perfbench-test bench-fast bench-obs bench-plans bench-fleet bench-backends bench-campaign campaign profile tables examples lint lint-domains lint-fixtures all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -10,6 +10,15 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The repo benchmark (BENCHMARK.json): three seeded serving workloads,
+# end-to-end metrics as one JSON line; exits 1 if the books do not balance.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 0 --seconds 20
+
+# The benchmark's own tests (outside tier-1's testpaths).
+perfbench-test:
+	python -m pytest perfbench/tests
 
 # Wall-clock harness for the simulation itself (TLB fast path, access
 # plans, re-entry cache, request batching, kvstore/memcached end-to-end,

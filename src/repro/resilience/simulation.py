@@ -4,7 +4,8 @@ E3/E5 simulate a service for up to a year of virtual time under a fault
 arrival process and a recovery strategy. Faults are discrete events; request
 traffic is integrated analytically (``rate × uptime``) because a year of
 per-request events is neither tractable nor necessary — downtime intervals
-are what decide availability.
+are what decide availability. The simulator sums those intervals itself as
+it opens them; its tracer counts events and keeps only the most recent ones.
 
 Semantics:
 
@@ -73,6 +74,7 @@ class ServiceAvailabilitySimulation:
         self._recovered = 0
         self._absorbed = 0
         self._requests_lost = 0
+        self._downtime = 0.0
         self._micro_downtime = 0.0
 
     def run(self) -> ServiceOutcome:
@@ -82,7 +84,7 @@ class ServiceAvailabilitySimulation:
             engine.schedule_at(t, lambda t=t: self._on_fault(t))
         engine.run(until=self.horizon)
 
-        downtime = self.tracer.downtime(self.horizon) + self._micro_downtime
+        downtime = self._downtime + self._micro_downtime
         availability = availability_from_downtime(downtime, self.horizon)
         offered = self.request_rate * self.horizon
         dropped = self.request_rate * downtime + self._requests_lost
@@ -118,10 +120,11 @@ class ServiceAvailabilitySimulation:
             self._micro_downtime += dt
             self.tracer.record(now, "fault.rewound", recovery=dt)
             return
+        # Faults arriving while down are absorbed above, so outages never
+        # overlap; one cut off by the horizon counts only up to it.
         self._down_until = min(now + dt, self.horizon)
+        self._downtime += self._down_until - now
         self.tracer.record(now, "service.down")
-        # The matching "up" event may land beyond the horizon; downtime()
-        # then truncates the interval at the horizon.
         if self._down_until < self.horizon:
             self.tracer.record(self._down_until, "service.up")
 

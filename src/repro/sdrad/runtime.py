@@ -268,6 +268,8 @@ class SdradRuntime:
         # Checked accesses already charged by an inner (nested) domain exit
         # — SFI instruments each access once, in the innermost sandbox.
         self._taxed_accesses = 0
+        # Exact per-kind event counts plus a small ring of recent events
+        # (``sim.trace.DEFAULT_CAPACITY``): bounded however long it serves.
         self.tracer = tracer if tracer is not None else Tracer()
         # Observability is strictly opt-in: with ``obs=None`` (the
         # default) every instrumented site below reduces to one attribute

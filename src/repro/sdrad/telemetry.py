@@ -83,7 +83,7 @@ def snapshot(runtime: SdradRuntime) -> dict[str, Any]:
             "recovery_time": total_rewinds * runtime.cost.rewind,
         },
         "memory": memory,
-        "trace_events": len(runtime.tracer),
+        "trace_events": runtime.tracer.recorded,
     }
     if runtime.keys is not None:
         out["key_virtualization"] = {
@@ -146,9 +146,11 @@ def consistency_check(runtime: SdradRuntime) -> list[str]:
     if entries != 0:
         problems.append(f"{entries} execution context(s) left on the stack")
 
-    # Obs cross-checks: the obs metric counters must track the tracer
-    # event-for-event (the tracer, unlike domain stats, survives domain
-    # destroys, so it is the authoritative count for ephemeral domains).
+    # Obs cross-checks: the obs metric counters must track the tracer's
+    # per-kind counts event-for-event. Those counts are exact over the
+    # whole run (only the tracer's ring of recent events is bounded) and,
+    # unlike domain stats, survive domain destroys, so they are the
+    # reference count for ephemeral domains.
     # Metrics are exempt from span sampling precisely so this holds at any
     # sampling rate. Caveat: these compare one runtime against the hub, so
     # they assume the hub is not shared with other runtimes (a cluster's

@@ -1,20 +1,31 @@
-"""Structured event tracing for simulations.
+"""Bounded event log for simulations.
 
-A :class:`Tracer` records typed events (fault injected, fault detected,
-rewind performed, restart started/finished, request served/refused) with
-their virtual timestamps. Experiments use traces for two purposes:
+A :class:`Tracer` is handed typed events (domain entered, fault detected,
+rewind performed, service down/up, ...) with their virtual timestamps and
+keeps two things about them:
 
-* assertions in integration tests ("every injected fault was followed by a
-  detection and a recovery before the next request was accepted"), and
-* computing availability from first principles (sum of down intervals)
-  instead of trusting the strategy's own bookkeeping — an independent check
-  the paper's availability arithmetic is reproduced against.
+* exact per-kind counts, however many events a run records — the figures
+  ``telemetry.consistency_check`` balances against domain stats and obs
+  counters; and
+* a fixed-size ring of the most recent events, for test assertions and for
+  printing what just happened.
+
+Memory is bounded by construction: a long-running service records millions
+of events, and the runtime's own bookkeeping must not be what grows. The
+ring holds raw ``(timestamp, kind, details)`` tuples; :class:`TraceEvent`
+objects are built only when a subscriber is attached or the ring is read.
+The ring is not a history: a quantity over a whole run (downtime, say) is
+accumulated by whoever emits the events, or read off the counts.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
+
+#: Ring size of a :class:`Tracer` built without an explicit capacity.
+DEFAULT_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -31,84 +42,72 @@ class TraceEvent:
 
 
 class Tracer:
-    """Appends events; supports filtered iteration and interval extraction."""
+    """Counts events by kind exactly and retains the most recent ones."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self._events: list[TraceEvent] = []
-        self._capacity = capacity
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+        if not isinstance(capacity, int) or capacity < 0:
+            raise ValueError(
+                f"tracer capacity must be a non-negative int, got {capacity!r}"
+            )
+        self._events: deque[tuple[float, str, dict[str, object]]] = deque(
+            maxlen=capacity
+        )
+        self._counts: dict[str, int] = {}
         self._subscribers: list[Callable[[TraceEvent], None]] = []
 
-    def record(self, timestamp: float, kind: str, **details: object) -> TraceEvent:
+    def record(self, timestamp: float, kind: str, **details: object) -> None:
         # ``details`` is already a fresh dict built for this call — no copy.
-        event = TraceEvent(timestamp=timestamp, kind=kind, details=details)
-        if self._capacity is None or len(self._events) < self._capacity:
-            self._events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
-        return event
+        self._events.append((timestamp, kind, details))
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
+        if self._subscribers:
+            event = TraceEvent(timestamp, kind, details)
+            for subscriber in self._subscribers:
+                subscriber(event)
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Invoke ``callback`` on every future event (live monitoring)."""
         self._subscribers.append(callback)
 
     @property
+    def capacity(self) -> int:
+        """How many of the most recent events the ring retains."""
+        return self._events.maxlen
+
+    @property
+    def recorded(self) -> int:
+        """Exact number of events ever recorded, retained or not."""
+        return sum(self._counts.values())
+
+    @property
     def events(self) -> list[TraceEvent]:
-        return list(self._events)
+        """The retained events, oldest first."""
+        return [TraceEvent(*raw) for raw in self._events]
 
     def __len__(self) -> int:
+        """Number of retained events (at most ``capacity``)."""
         return len(self._events)
 
     def of_kind(self, *kinds: str) -> Iterator[TraceEvent]:
+        """Retained events of ``kinds``, oldest first. The iterator runs
+        over a copy, so recording while iterating is safe."""
         wanted = set(kinds)
-        return (e for e in self._events if e.kind in wanted)
+        return iter([TraceEvent(*raw) for raw in self._events if raw[1] in wanted])
 
     def count(self, kind: str) -> int:
-        return sum(1 for e in self._events if e.kind == kind)
+        """Exact number of ``kind`` events ever recorded."""
+        return self._counts.get(kind, 0)
 
     def first(self, kind: str) -> Optional[TraceEvent]:
-        for event in self._events:
-            if event.kind == kind:
-                return event
+        """Oldest retained ``kind`` event, if any."""
+        for raw in self._events:
+            if raw[1] == kind:
+                return TraceEvent(*raw)
         return None
 
     def last(self, kind: str) -> Optional[TraceEvent]:
-        for event in reversed(self._events):
-            if event.kind == kind:
-                return event
+        """Most recent ``kind`` event, if any."""
+        for raw in reversed(self._events):
+            if raw[1] == kind:
+                return TraceEvent(*raw)
         return None
-
-    def down_intervals(
-        self,
-        down_kind: str = "service.down",
-        up_kind: str = "service.up",
-        horizon: Optional[float] = None,
-    ) -> list[tuple[float, float]]:
-        """Extract ``(down_at, up_at)`` intervals from down/up event pairs.
-
-        A trailing ``down`` with no matching ``up`` is closed at ``horizon``
-        (when provided) or dropped (when not), so availability computed from
-        a truncated trace is conservative rather than optimistic.
-        """
-        intervals: list[tuple[float, float]] = []
-        down_at: Optional[float] = None
-        for event in self._events:
-            if event.kind == down_kind and down_at is None:
-                down_at = event.timestamp
-            elif event.kind == up_kind and down_at is not None:
-                intervals.append((down_at, event.timestamp))
-                down_at = None
-        if down_at is not None and horizon is not None and horizon > down_at:
-            intervals.append((down_at, horizon))
-        return intervals
-
-    def downtime(
-        self,
-        horizon: float,
-        down_kind: str = "service.down",
-        up_kind: str = "service.up",
-    ) -> float:
-        """Total seconds down within ``[0, horizon]``."""
-        total = 0.0
-        for start, end in self.down_intervals(down_kind, up_kind, horizon=horizon):
-            total += min(end, horizon) - min(start, horizon)
-        return total

@@ -9,7 +9,7 @@ from repro.resilience.simulation import (
     ServiceAvailabilitySimulation,
     compare_strategies,
 )
-from repro.resilience.strategy import RecoveryStrategyModel
+from repro.resilience.strategy import RecoveryStrategyModel, StrategySpec
 from repro.sim.clock import MINUTES, YEARS
 from repro.sim.cost import GIB
 from repro.sim.rng import RngFactory
@@ -134,13 +134,87 @@ class TestValidation:
         assert outcome.downtime == 0.0
 
 
+def outage(downtime: float) -> StrategySpec:
+    """A restart-like strategy whose every recovery takes ``downtime``."""
+    return StrategySpec(
+        name="outage",
+        downtime_per_fault=downtime,
+        requests_lost_per_fault=0,
+        replicas=1,
+        runtime_overhead=0.0,
+    )
+
+
+class TestDowntimeAccounting:
+    """Edge cases of the simulator's own downtime sum (one outage per
+    recovered fault, absorbed faults adding nothing, the horizon cutting
+    off the last outage)."""
+
+    def test_single_interval(self):
+        outcome = ServiceAvailabilitySimulation(
+            outage(5.0), [10.0], horizon=100.0
+        ).run()
+        assert outcome.downtime == 5.0
+
+    def test_multiple_intervals(self):
+        outcome = ServiceAvailabilitySimulation(
+            outage(1.0), [1.0, 5.0], horizon=10.0
+        ).run()
+        assert outcome.downtime == pytest.approx(2.0)
+
+    def test_back_to_back_outages(self):
+        # The second fault lands the instant the first outage ends: it is
+        # a fresh outage, not absorbed, and the two add up.
+        outcome = ServiceAvailabilitySimulation(
+            outage(5.0), [10.0, 15.0], horizon=100.0
+        ).run()
+        assert outcome.faults_recovered == 2
+        assert outcome.faults_absorbed == 0
+        assert outcome.downtime == 10.0
+
+    def test_duplicate_down_events_ignored(self):
+        # Faults during an outage are absorbed and never extend it.
+        outcome = ServiceAvailabilitySimulation(
+            outage(2.0), [1.0, 2.0, 2.5], horizon=10.0
+        ).run()
+        assert outcome.faults_absorbed == 2
+        assert outcome.downtime == 2.0
+
+    def test_trailing_down_closed_at_horizon(self):
+        outcome = ServiceAvailabilitySimulation(
+            outage(50.0), [90.0], horizon=100.0
+        ).run()
+        assert outcome.downtime == 10.0
+
+    def test_interval_past_horizon_truncated(self):
+        sim = ServiceAvailabilitySimulation(outage(15.0), [95.0], horizon=100.0)
+        outcome = sim.run()
+        assert outcome.downtime == 5.0
+        # The outage never ends within the run, so no "up" is recorded.
+        assert sim.tracer.count("service.down") == 1
+        assert sim.tracer.count("service.up") == 0
+
+    def test_exact_past_the_tracer_ring(self):
+        sim = ServiceAvailabilitySimulation(
+            outage(1.0), [10.0 * i for i in range(1000)], horizon=10_000.0
+        )
+        outcome = sim.run()
+        assert outcome.downtime == 1000.0
+        assert len(sim.tracer) < sim.tracer.recorded
+        assert sim.tracer.count("service.down") == 1000
+        assert sim.tracer.count("service.up") == 1000
+
+
 class TestTraceIndependence:
     def test_downtime_computed_from_trace_not_bookkeeping(self):
-        """The trace is the independent witness of the availability math."""
+        """The retained trace is an independent witness of the downtime
+        the simulator accumulates."""
         spec = MODEL.process_restart(10 * GIB)
         sim = ServiceAvailabilitySimulation(spec, year_times(2))
         outcome = sim.run()
-        trace_downtime = sim.tracer.downtime(YEARS)
+        downs = [e.timestamp for e in sim.tracer.of_kind("service.down")]
+        ups = [e.timestamp for e in sim.tracer.of_kind("service.up")]
+        trace_downtime = sum(up - down for down, up in zip(downs, ups))
         assert outcome.downtime == pytest.approx(trace_downtime)
         assert sim.tracer.count("fault.detected") == 2
         assert sim.tracer.count("service.down") == 2

@@ -126,3 +126,31 @@ class TestObsConsistency:
         assert data["obs"]["metrics"][
             "counter/sdrad_domains_destroyed_total"
         ] == 1
+
+
+class TestConsistencyPastTheRing:
+    """The tracer's counts stay exact after its ring of recent events has
+    wrapped, so one planted mismatch is still caught."""
+
+    def rewound_many_times(self, obs=None) -> SdradRuntime:
+        runtime = SdradRuntime(obs=obs)
+        domain = runtime.domain_init(flags=DomainFlags.RETURN_TO_PARENT)
+        for _ in range(2 * runtime.tracer.capacity + 1):
+            runtime.execute(domain.udi, lambda h: h.store(0, b"fault"))
+        assert runtime.tracer.count("domain.rewind") > 2 * len(runtime.tracer)
+        assert consistency_check(runtime) == []
+        return runtime
+
+    def test_extra_rewind_record_is_caught(self):
+        runtime = self.rewound_many_times()
+        runtime.tracer.record(runtime.clock.now, "domain.rewind", udi=1)
+        problems = consistency_check(runtime)
+        assert any("rewinds" in p for p in problems)
+
+    def test_bumped_obs_counter_is_caught(self):
+        from repro.obs import Observability
+
+        runtime = self.rewound_many_times(obs=Observability())
+        runtime.obs.registry.counter("sdrad_rewinds_total", cause="x").increment()
+        problems = consistency_check(runtime)
+        assert any("sdrad_rewinds_total" in p for p in problems)

@@ -1,8 +1,6 @@
-"""Tests for structured tracing and downtime extraction."""
+"""Tests for structured tracing."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.sim.trace import Tracer
 
@@ -53,54 +51,3 @@ class TestRecording:
         tracer.record(1.0, "b")
         assert [e.kind for e in seen] == ["a", "b"]
 
-
-class TestDowntime:
-    def test_single_interval(self):
-        tracer = Tracer()
-        tracer.record(10.0, "service.down")
-        tracer.record(15.0, "service.up")
-        assert tracer.down_intervals() == [(10.0, 15.0)]
-        assert tracer.downtime(horizon=100.0) == pytest.approx(5.0)
-
-    def test_multiple_intervals(self):
-        tracer = Tracer()
-        for down, up in [(1.0, 2.0), (5.0, 9.0)]:
-            tracer.record(down, "service.down")
-            tracer.record(up, "service.up")
-        assert tracer.downtime(horizon=10.0) == pytest.approx(5.0)
-
-    def test_trailing_down_closed_at_horizon(self):
-        tracer = Tracer()
-        tracer.record(90.0, "service.down")
-        assert tracer.downtime(horizon=100.0) == pytest.approx(10.0)
-
-    def test_trailing_down_dropped_without_horizon(self):
-        tracer = Tracer()
-        tracer.record(90.0, "service.down")
-        assert tracer.down_intervals() == []
-
-    def test_duplicate_down_events_ignored(self):
-        tracer = Tracer()
-        tracer.record(1.0, "service.down")
-        tracer.record(2.0, "service.down")  # nested/duplicate
-        tracer.record(3.0, "service.up")
-        assert tracer.down_intervals() == [(1.0, 3.0)]
-
-    def test_up_without_down_ignored(self):
-        tracer = Tracer()
-        tracer.record(1.0, "service.up")
-        assert tracer.down_intervals() == []
-        assert tracer.downtime(horizon=10.0) == 0.0
-
-    def test_custom_kinds(self):
-        tracer = Tracer()
-        tracer.record(0.0, "db.offline")
-        tracer.record(4.0, "db.online")
-        intervals = tracer.down_intervals("db.offline", "db.online")
-        assert intervals == [(0.0, 4.0)]
-
-    def test_interval_past_horizon_truncated(self):
-        tracer = Tracer()
-        tracer.record(95.0, "service.down")
-        tracer.record(110.0, "service.up")
-        assert tracer.downtime(horizon=100.0) == pytest.approx(5.0)
